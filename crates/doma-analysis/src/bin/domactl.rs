@@ -307,7 +307,7 @@ fn cmd_obs(opts: &Opts) -> Result<(), String> {
         other => return Err(format!("--algo must be sa or da, got '{other}'")),
     };
     let obs = sim.attach_obs(events);
-    let _trace_handle = sim.attach_tracer_on(obs.events().clone());
+    sim.trace_messages();
     sim.execute(&schedule).map_err(err)?;
     sim.obs_flush();
     match opts.get("format", "json").as_str() {
@@ -423,7 +423,7 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
             other => return Err(format!("--algo must be sa or da, got '{other}'")),
         };
         let obs = sim.attach_obs(events);
-        let _trace_handle = sim.attach_tracer_on(obs.events().clone());
+        sim.trace_messages();
         sim.enable_request_spans();
         let report = sim.execute(&schedule).map_err(err)?;
         sim.obs_flush();

@@ -83,7 +83,7 @@ pub fn replay_observed(
 ) -> Result<(ReplayReport, doma_obs::Obs)> {
     let mut state = SearchState::initial(scenario)?;
     let obs = state.sim.attach_obs(REPLAY_EVENT_CAPACITY);
-    let _trace_handle = state.sim.attach_tracer_on(obs.events().clone());
+    state.sim.trace_messages();
     let report = drive(scenario, &mut state, trace);
     state.sim.obs_flush();
     Ok((report, obs))

@@ -46,11 +46,11 @@ pub enum DomaError {
         /// The unconfigured object (its raw id).
         object: u64,
     },
-    /// A simulation run stopped at its event budget before the network
-    /// drained — a runaway protocol, or an exploration bound set
-    /// deliberately tight.
+    /// A simulation run dispatched its whole event budget without the
+    /// network going idle — a runaway protocol, or an exploration bound
+    /// set deliberately tight.
     EventBudgetExceeded {
-        /// Events dispatched when the budget tripped.
+        /// Events dispatched without going idle when the budget tripped.
         dispatched: u64,
     },
     /// Wire decoding ran out of bytes: the frame or a field inside it was
@@ -114,7 +114,7 @@ impl fmt::Display for DomaError {
                 write!(
                     f,
                     "simulation stopped at its event budget after {dispatched} \
-                     events — runaway protocol?"
+                     events dispatched without going idle — runaway protocol?"
                 )
             }
             DomaError::WireTruncated { needed, have } => {

@@ -42,6 +42,14 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
+    /// The value of payload field `key`, if present.
+    pub fn field(&self, key: &str) -> Option<&str> {
+        self.fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
     /// The stable JSON object for this record.
     pub fn to_json(&self) -> String {
         let mut out = format!(

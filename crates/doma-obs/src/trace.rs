@@ -8,12 +8,12 @@
 //! carrying the request's *exact* control/data/io delta (the driver is
 //! strictly one-request-at-a-time, so the deltas telescope to the
 //! schedule total — the property test in `doma-protocol` proves the sum
-//! equals `cost_of_schedule`). The engine's tracer interleaves one
-//! [`MESSAGE_EVENT`] record per delivery into the same log, so every
-//! record between an enter and its exit belongs to that request's
-//! causal window. Shard-merged logs carry a `shard` field per record
-//! (see [`crate::Obs::merge_shards`]); the model brackets per shard, so
-//! K-shard traces reconstruct exactly.
+//! equals `cost_of_schedule`). With `trace_messages` on, the engine
+//! interleaves one [`MESSAGE_EVENT`] record per delivery into the same
+//! log, so every record between an enter and its exit belongs to that
+//! request's causal window. Shard-merged logs carry a `shard` field per
+//! record (see [`crate::Obs::merge_shards`]); the model brackets per
+//! shard, so K-shard traces reconstruct exactly.
 //!
 //! Everything here is a pure function of the record slice: no clocks,
 //! no randomness, `BTreeMap` iteration only — two runs of the same
@@ -32,7 +32,8 @@ pub const REQUEST_SPAN: &str = "protocol.request";
 pub const REQUEST_COST_EVENT: &str = "protocol.request_cost";
 /// Point event recording an adaptive oracle's plan decision.
 pub const PLAN_EVENT: &str = "protocol.plan";
-/// The engine tracer's per-delivery record name (`doma-sim`).
+/// The per-delivery record `doma-sim`'s engine writes when
+/// `trace_messages` is on (`from`, `to`, `kind`, `delivered`, `label`).
 pub const MESSAGE_EVENT: &str = "sim.trace";
 /// Synthetic marker the exporters emit when the bounded log evicted
 /// records out of an open request window (never silently corrupt).
@@ -44,7 +45,7 @@ pub const TRUNCATED_MARKER: &str = "trace.truncated";
 pub struct MsgEdge {
     /// The record's virtual time (shard-local ticks).
     pub time: u64,
-    /// Sending node index, as the tracer printed it.
+    /// Sending node index, as the engine printed it.
     pub from: String,
     /// Receiving node index.
     pub to: String,
@@ -142,16 +143,8 @@ pub struct TraceModel {
     pub orphan_exits: u64,
 }
 
-fn field<'a>(record: &'a EventRecord, key: &str) -> Option<&'a str> {
-    record
-        .fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-}
-
 fn shard_of(record: &EventRecord) -> Option<usize> {
-    field(record, "shard").and_then(|v| v.parse().ok())
+    record.field("shard").and_then(|v| v.parse().ok())
 }
 
 fn parse_u64(s: Option<&str>) -> u64 {
@@ -183,10 +176,10 @@ impl TraceModel {
                     EventPhase::Enter => {
                         model.requests.push(RequestTrace {
                             shard,
-                            req: parse_u64(field(record, "req")),
-                            op: field(record, "op").unwrap_or("?").to_string(),
-                            object: field(record, "object").unwrap_or("?").to_string(),
-                            issuer: field(record, "issuer").unwrap_or("?").to_string(),
+                            req: parse_u64(record.field("req")),
+                            op: record.field("op").unwrap_or("?").to_string(),
+                            object: record.field("object").unwrap_or("?").to_string(),
+                            issuer: record.field("issuer").unwrap_or("?").to_string(),
                             start: record.time,
                             duration: 0,
                             complete: false,
@@ -218,21 +211,21 @@ impl TraceModel {
             match record.name.as_str() {
                 MESSAGE_EVENT => req.messages.push(MsgEdge {
                     time: record.time,
-                    from: field(record, "from").unwrap_or("?").to_string(),
-                    to: field(record, "to").unwrap_or("?").to_string(),
-                    kind: field(record, "kind").unwrap_or("?").to_string(),
-                    delivered: field(record, "delivered") == Some("true"),
-                    label: field(record, "label").unwrap_or("").to_string(),
+                    from: record.field("from").unwrap_or("?").to_string(),
+                    to: record.field("to").unwrap_or("?").to_string(),
+                    kind: record.field("kind").unwrap_or("?").to_string(),
+                    delivered: record.field("delivered") == Some("true"),
+                    label: record.field("label").unwrap_or("").to_string(),
                 }),
                 REQUEST_COST_EVENT => {
                     req.cost = Some((
-                        parse_u64(field(record, "control")),
-                        parse_u64(field(record, "data")),
-                        parse_u64(field(record, "io")),
+                        parse_u64(record.field("control")),
+                        parse_u64(record.field("data")),
+                        parse_u64(record.field("io")),
                     ));
                 }
                 PLAN_EVENT => {
-                    req.plan = field(record, "decision").map(str::to_string);
+                    req.plan = record.field("decision").map(str::to_string);
                 }
                 _ => {}
             }

@@ -1612,7 +1612,7 @@ mod tests {
             .iter()
             .all(|e| *e == DomaError::UnknownObject { node: 0, object: 9 }));
         // No messages escaped: the error path is local.
-        let stats = engine.net_stats().snapshot();
+        let stats = engine.net_stats();
         assert_eq!(stats.control_sent + stats.data_sent, 0);
         assert_eq!(engine.actor(a).read_metrics(), (0, 0));
     }

@@ -136,7 +136,7 @@ impl ShardedSim {
 
     /// Requests causal tracing on top of observability: every shard
     /// cluster additionally records message deliveries
-    /// ([`ProtocolSim::attach_tracer_on`]) and per-request spans
+    /// ([`ProtocolSim::trace_messages`]) and per-request spans
     /// ([`ProtocolSim::enable_request_spans`]) into its obs event log.
     /// The merged log's records carry shard labels and interleave by the
     /// existing `(time, shard, index)` order, so
@@ -328,11 +328,9 @@ impl ShardedSim {
         }
         let mut sim = ProtocolSim::new_catalog(n, catalog)?;
         let obs = event_capacity.map(|capacity| sim.attach_obs(capacity));
-        if traced {
-            if let Some(obs) = &obs {
-                sim.attach_tracer_on(obs.events().clone());
-                sim.enable_request_spans();
-            }
+        if traced && obs.is_some() {
+            sim.trace_messages();
+            sim.enable_request_spans();
         }
         let report = sim.execute_multi(schedule)?;
         let holders = sim
@@ -503,10 +501,8 @@ mod tests {
         let mut seen_shards = std::collections::BTreeSet::new();
         for record in &events {
             let shard: usize = record
-                .fields
-                .iter()
-                .find(|(k, _)| k == "shard")
-                .map(|(_, v)| v.parse().unwrap())
+                .field("shard")
+                .map(|v| v.parse().unwrap())
                 .expect("every merged record carries a shard label");
             assert!((record.time, shard) >= last, "merge order violated");
             last = (record.time, shard);

@@ -126,10 +126,7 @@ impl ProtocolSim {
     /// Builds an SA cluster with an explicit network model (e.g. the
     /// shared-bus medium for the contention experiments).
     pub fn new_sa_with(n: usize, q: ProcSet, network: doma_sim::NetworkConfig) -> Result<Self> {
-        if q.len() < 2 {
-            return Err(DomaError::InvalidConfig("SA requires |Q| >= 2".into()));
-        }
-        Self::build(n, ProtocolConfig::Sa { q }, network)
+        Self::build(n, ProtocolConfig::Sa { q }, network, 0)
     }
 
     /// Builds a DA cluster of `n` nodes with core `f` and floater `p`.
@@ -144,12 +141,7 @@ impl ProtocolSim {
         p: ProcessorId,
         network: doma_sim::NetworkConfig,
     ) -> Result<Self> {
-        if f.is_empty() || f.contains(p) {
-            return Err(DomaError::InvalidConfig(
-                "DA requires non-empty F with p outside F".into(),
-            ));
-        }
-        Self::build(n, ProtocolConfig::Da { f, p }, network)
+        Self::build(n, ProtocolConfig::Da { f, p }, network, 0)
     }
 
     /// The §2 mobile deployment: `t = 2`, the core is the base station
@@ -173,7 +165,7 @@ impl ProtocolSim {
         let t = oracle.t();
         let initial = oracle.initial_scheme();
         let config = ProtocolConfig::Adaptive { t, initial, algo };
-        let mut sim = Self::build(n, config, doma_sim::NetworkConfig::default())?;
+        let mut sim = Self::build(n, config, doma_sim::NetworkConfig::default(), 0)?;
         sim.planner.install_oracle(OBJECT, oracle);
         Ok(sim)
     }
@@ -197,10 +189,7 @@ impl ProtocolSim {
     /// `cache_capacity` objects (0 = the paper's no-cache model). For the
     /// E16 cache-sensitivity ablation.
     pub fn new_sa_cached(n: usize, q: ProcSet, cache_capacity: usize) -> Result<Self> {
-        if q.len() < 2 {
-            return Err(DomaError::InvalidConfig("SA requires |Q| >= 2".into()));
-        }
-        Self::build_cached(
+        Self::build(
             n,
             ProtocolConfig::Sa { q },
             doma_sim::NetworkConfig::default(),
@@ -216,12 +205,7 @@ impl ProtocolSim {
         p: ProcessorId,
         cache_capacity: usize,
     ) -> Result<Self> {
-        if f.is_empty() || f.contains(p) {
-            return Err(DomaError::InvalidConfig(
-                "DA requires non-empty F with p outside F".into(),
-            ));
-        }
-        Self::build_cached(
+        Self::build(
             n,
             ProtocolConfig::Da { f, p },
             doma_sim::NetworkConfig::default(),
@@ -229,11 +213,8 @@ impl ProtocolSim {
         )
     }
 
-    fn build(n: usize, config: ProtocolConfig, network: doma_sim::NetworkConfig) -> Result<Self> {
-        Self::build_cached(n, config, network, 0)
-    }
-
-    fn build_cached(
+    /// A single-object cluster; `build_catalog` validates the config.
+    fn build(
         n: usize,
         config: ProtocolConfig,
         network: doma_sim::NetworkConfig,
@@ -334,23 +315,14 @@ impl ProtocolSim {
         &self.engine
     }
 
-    /// Attaches a message trace (bounded to `capacity` records) and
-    /// returns the handle; every subsequent delivery/drop is recorded with
-    /// a human-readable label.
-    pub fn attach_tracer(&mut self, capacity: usize) -> doma_sim::TraceHandle {
-        let trace = doma_sim::TraceHandle::new(capacity);
-        self.engine.set_tracer(trace.clone(), DomMsg::label);
-        trace
-    }
-
-    /// Attaches a message trace that records into an existing event log
-    /// (typically [`doma_obs::Obs::events`]), so message deliveries
-    /// interleave with the engine's lifecycle events and the protocol's
-    /// spans in one choreography log.
-    pub fn attach_tracer_on(&mut self, log: doma_obs::EventLog) -> doma_sim::TraceHandle {
-        let trace = doma_sim::TraceHandle::on(log);
-        self.engine.set_tracer(trace.clone(), DomMsg::label);
-        trace
+    /// Turns on message tracing: every subsequent delivery or drop
+    /// appends a `sim.trace` record, labelled with the wire message, to
+    /// the attached obs event log ([`ProtocolSim::attach_obs`]), so
+    /// deliveries interleave with the engine's lifecycle events and the
+    /// protocol's spans in one choreography log. See
+    /// [`doma_sim::Engine::trace_messages`].
+    pub fn trace_messages(&mut self) {
+        self.engine.trace_messages(DomMsg::label);
     }
 
     /// Attaches a fresh observability bundle (event log bounded to
@@ -381,8 +353,8 @@ impl ProtocolSim {
     /// point event carrying the request's *exact* control/data/io delta
     /// (execution is strictly one-request-at-a-time, so the deltas
     /// telescope to the schedule total). Combine with
-    /// [`ProtocolSim::attach_tracer_on`] over the same log so message
-    /// deliveries land inside the span window —
+    /// [`ProtocolSim::trace_messages`] so message deliveries land inside
+    /// the span window —
     /// [`doma_obs::trace::TraceModel`] then reconstructs per-request
     /// critical paths. No-op until [`ProtocolSim::attach_obs`] is called.
     /// Opt-in because span records change obs snapshots (and therefore
@@ -747,7 +719,7 @@ impl ProtocolSim {
 
     /// The current report (tallies since construction).
     pub fn report(&self) -> SimReport {
-        let net = self.engine.net_stats().snapshot();
+        let net = self.engine.net_stats();
         let mut io = 0u64;
         let mut holders = ProcSet::EMPTY;
         let mut reads = 0u64;
@@ -921,14 +893,20 @@ mod tests {
     #[test]
     fn trace_records_the_da_message_choreography() {
         let mut sim = ProtocolSim::new_da(4, ps(&[0]), ProcessorId::new(1)).unwrap();
-        let trace = sim.attach_tracer(64);
+        let obs = sim.attach_obs(64);
+        sim.trace_messages();
         // Saving-read by 2, then a core write that must invalidate 2.
         sim.execute_request(Request::read(2usize)).unwrap();
         sim.execute_request(Request::write(0usize)).unwrap();
-        let labels: Vec<String> = trace
+        let labels: Vec<String> = obs
+            .events()
             .snapshot()
             .iter()
-            .map(|r| format!("{}->{} {}", r.from.0, r.to.0, r.label))
+            .filter(|r| r.name == doma_obs::trace::MESSAGE_EVENT)
+            .map(|r| {
+                let f = |key| r.field(key).unwrap_or("?");
+                format!("{}->{} {}", f("from"), f("to"), f("label"))
+            })
             .collect();
         assert_eq!(
             labels,
@@ -943,7 +921,33 @@ mod tests {
             ],
             "unexpected choreography: {labels:#?}"
         );
-        assert_eq!(trace.discarded(), 0);
+        assert_eq!(obs.events().dropped_events(), 0);
+    }
+
+    #[test]
+    fn message_tracing_is_opt_in() {
+        let schedule: Schedule = "r2 w3 r2 r1 w0 r3 w2 r0".parse().unwrap();
+        let traced_count = |trace: bool| {
+            let mut sim = ProtocolSim::new_da(4, ps(&[0]), ProcessorId::new(1)).unwrap();
+            let obs = sim.attach_obs(1 << 12);
+            if trace {
+                sim.trace_messages();
+            }
+            let report = sim.execute(&schedule).unwrap();
+            let records = obs.events().snapshot();
+            let traced = records
+                .iter()
+                .filter(|r| r.name == doma_obs::trace::MESSAGE_EVENT)
+                .count() as u64;
+            (traced, report.cost.control + report.cost.data)
+        };
+        assert_eq!(traced_count(false).0, 0, "obs alone records no trace");
+        let (traced, sent) = traced_count(true);
+        assert!(sent > 0);
+        assert_eq!(
+            traced, sent,
+            "one record per delivery on a failure-free run"
+        );
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl Gen for CaseGen {
 /// expected exact total. Returns the model for extra assertions.
 fn traced_model(mut sim: ProtocolSim, schedule: &Schedule, expected: CostVector) -> TraceModel {
     let obs = sim.attach_obs(1 << 16); // ample: no truncation allowed here
-    sim.attach_tracer_on(obs.events().clone());
+    sim.trace_messages();
     sim.enable_request_spans();
     let report = sim.execute(schedule).unwrap();
     assert_eq!(report.cost, expected, "sim/analytic parity on {schedule}");

@@ -4,7 +4,7 @@
 //! The runner mirrors the tournament's measurement discipline: the
 //! entrant runs as a real message-passing protocol (SA and DA natively,
 //! adaptive allocators as driver-side plan oracles) with the obs bundle
-//! and event tracer attached, and — for failure-free scenarios — the
+//! attached and message tracing on, and — for failure-free scenarios — the
 //! summed `protocol/cost.*` registry counters must equal the simulator's
 //! exact tallies. The byte-stable obs snapshot is hashed with FNV-1a 64
 //! into the scenario's digest; builtin scenarios pin that digest
@@ -17,6 +17,7 @@ use doma_algorithms::{
     WriteInvalidateCache,
 };
 use doma_core::{CostModel, CostVector, ProcSet, ProcessorId, Schedule};
+use doma_obs::json::escape;
 use doma_protocol::{AdaptiveAlgo, PlanOracle, ProtocolConfig, ProtocolSim};
 use doma_sim::{FaultAction, FaultPlan, FaultRule, LinkFilter, MsgKind, NodeId};
 use doma_testkit::rng::splitmix64;
@@ -101,39 +102,22 @@ impl RunReport {
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!(
-            "\"scenario\": {}, \"entrant\": {}, \"requests\": {}, \"digest\": {}, ",
-            json_str(&self.scenario),
-            json_str(self.entrant),
+            "\"scenario\": \"{}\", \"entrant\": \"{}\", \"requests\": {}, \"digest\": \"{}\", ",
+            escape(&self.scenario),
+            escape(self.entrant),
             self.requests,
-            json_str(&self.digest),
+            escape(&self.digest),
         ));
         out.push_str(&format!("\"passed\": {}, \"violations\": [", self.passed()));
         for (i, v) in self.violations.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_str(v));
+            out.push_str(&format!("\"{}\"", escape(v)));
         }
         out.push_str(&format!("], \"obs\": {}}}", self.snapshot_json));
         out
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn pair() -> ProcSet {
@@ -342,7 +326,7 @@ fn run_impl(
     let schedule = build_schedule(scenario)?;
     let mut sim = build_sim(scenario)?;
     let obs = sim.attach_obs(scenario.events);
-    let _tracer = sim.attach_tracer_on(obs.events().clone());
+    sim.trace_messages();
     if traced {
         sim.enable_request_spans();
     }

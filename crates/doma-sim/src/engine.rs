@@ -1,7 +1,9 @@
 //! The event loop: actors, contexts, and deterministic dispatch.
 
 use crate::fault::{FaultPlan, FaultState, FaultStats, Judgement};
-use crate::{MsgKind, Network, NetworkConfig, SimTime, StatsHandle, TraceHandle, TraceRecord};
+use crate::network::Network;
+use crate::{MsgKind, NetStats, NetworkConfig, SimTime};
+use doma_obs::trace::MESSAGE_EVENT;
 use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BinaryHeap;
@@ -201,15 +203,12 @@ impl<M> Ord for Event<M> {
 pub struct EngineConfig {
     /// Network latencies.
     pub network: NetworkConfig,
-    /// Safety valve: abort after this many dispatched events (0 = no
-    /// limit). A protocol bug that floods the network trips this instead
-    /// of hanging the test suite.
+    /// Safety valve: abort after this many events dispatched without
+    /// going idle (0 = no limit). A protocol bug that floods the network
+    /// trips this instead of hanging the test suite; a long run of
+    /// requests that each settle does not.
     pub max_events: u64,
 }
-
-/// A message tracer: the sink plus the labelling function applied to each
-/// message before recording.
-type Tracer<M> = (TraceHandle, fn(&M) -> String);
 
 /// The engine's slice of an attached [`doma_obs::Obs`] bundle: the
 /// bundle itself plus counters resolved once at attach time, so the
@@ -233,9 +232,13 @@ pub struct Engine<M, A: Actor<M>> {
     now: SimTime,
     seq: u64,
     dispatched: u64,
+    /// Events dispatched since the queue last drained.
+    window: u64,
     max_events: u64,
     overflowed: bool,
-    tracer: Option<Tracer<M>>,
+    /// Set by [`Engine::trace_messages`]: renders each message for its
+    /// `sim.trace` record.
+    labeller: Option<fn(&M) -> String>,
     obs: Option<EngineObs>,
     faults: Option<FaultState>,
 }
@@ -251,26 +254,32 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
             now: SimTime::ZERO,
             seq: 0,
             dispatched: 0,
+            window: 0,
             max_events: config.max_events,
             overflowed: false,
-            tracer: None,
+            labeller: None,
             obs: None,
             faults: None,
         }
     }
 
-    /// Attaches a message tracer: every delivery (and drop at a crashed
-    /// node) is recorded into `trace`, labelled by `labeller`.
-    pub fn set_tracer(&mut self, trace: TraceHandle, labeller: fn(&M) -> String) {
-        self.tracer = Some((trace, labeller));
+    /// Turns on message tracing: every delivery, and every message lost
+    /// at a crashed node or to a fault, appends one
+    /// [`MESSAGE_EVENT`] record (`from`, `to`, `kind`, `delivered`,
+    /// `label`) to the attached obs bundle's event log, labelled by
+    /// `labeller`. Records nothing while no bundle is attached
+    /// ([`Engine::set_obs`]). Opt-in because the records change obs
+    /// snapshots; not carried over by [`Engine::fork`].
+    pub fn trace_messages(&mut self, labeller: fn(&M) -> String) {
+        self.labeller = Some(labeller);
     }
 
     /// Attaches an observability bundle: message sends, drops (by
     /// cause) and fault actions are counted in the bundle's registry
     /// under component `sim`, and crash/recover/drop lifecycle events
-    /// are appended to its event log. Like the tracer, the bundle is
-    /// *not* carried over by [`Engine::fork`] — a model checker's forks
-    /// would otherwise multiply-count into the shared registry.
+    /// are appended to its event log. The bundle is *not* carried over
+    /// by [`Engine::fork`] — a model checker's forks would otherwise
+    /// multiply-count into the shared registry.
     pub fn set_obs(&mut self, obs: doma_obs::Obs) {
         let m = obs.metrics();
         self.obs = Some(EngineObs {
@@ -318,8 +327,8 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
         self.alive[node.0]
     }
 
-    /// The shared network statistics handle.
-    pub fn net_stats(&self) -> StatsHandle {
+    /// The message tallies so far.
+    pub fn net_stats(&self) -> NetStats {
         self.network.stats()
     }
 
@@ -391,6 +400,63 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
         self.faults.as_ref().map(|s| s.stats()).unwrap_or_default()
     }
 
+    /// Appends one [`MESSAGE_EVENT`] record to the obs event log when
+    /// message tracing is on; `cause` prefixes the label of a message a
+    /// fault acted on (`fault-drop:…`).
+    fn trace_message(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        kind: MsgKind,
+        msg: &M,
+        delivered: bool,
+        cause: Option<fmt::Arguments<'_>>,
+    ) {
+        let (Some(o), Some(labeller)) = (&self.obs, self.labeller) else {
+            return;
+        };
+        let label = match cause {
+            Some(cause) => format!("{cause}:{}", labeller(msg)),
+            None => labeller(msg),
+        };
+        o.bundle.events().record(
+            self.now.ticks(),
+            MESSAGE_EVENT,
+            vec![
+                ("from".to_string(), from.0.to_string()),
+                ("to".to_string(), to.0.to_string()),
+                ("kind".to_string(), format!("{kind:?}")),
+                ("delivered".to_string(), delivered.to_string()),
+                ("label".to_string(), label),
+            ],
+        );
+    }
+
+    /// Tallies a message lost before delivery and, with obs attached,
+    /// counts it under `cause` (`crashed`, `fault` or `partition`) and
+    /// logs a `sim.drop` record.
+    fn record_drop(&mut self, from: NodeId, to: NodeId, kind: MsgKind, cause: &str) {
+        self.network.record_drop();
+        let Some(o) = &self.obs else {
+            return;
+        };
+        match cause {
+            "crashed" => o.dropped_crashed.inc(),
+            "partition" => o.dropped_partition.inc(),
+            _ => o.dropped_fault.inc(),
+        }
+        o.bundle.events().record(
+            self.now.ticks(),
+            "sim.drop",
+            vec![
+                ("from".to_string(), from.to_string()),
+                ("to".to_string(), to.to_string()),
+                ("kind".to_string(), format!("{kind:?}")),
+                ("cause".to_string(), cause.to_string()),
+            ],
+        );
+    }
+
     fn dispatch_to(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut Context<M>)) {
         let mut ctx = Context {
             now: self.now,
@@ -403,7 +469,7 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
             // The sender pays for the transmission before any fault can
             // eat it — send tallies match the paper's cost model even on
             // lossy runs.
-            self.network.stats().record_send(kind);
+            self.network.record_send(kind);
             if let Some(o) = &self.obs {
                 match kind {
                     MsgKind::Control => o.sent_control.inc(),
@@ -428,42 +494,13 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                     );
                 }
                 Judgement::Lost { partition } => {
-                    self.network.stats().record_drop();
-                    if let Some(o) = &self.obs {
-                        if partition {
-                            o.dropped_partition.inc();
-                        } else {
-                            o.dropped_fault.inc();
-                        }
-                        o.bundle.events().record(
-                            self.now.ticks(),
-                            "sim.drop",
-                            vec![
-                                ("from".to_string(), node.to_string()),
-                                ("to".to_string(), to.to_string()),
-                                ("kind".to_string(), format!("{kind:?}")),
-                                (
-                                    "cause".to_string(),
-                                    if partition { "partition" } else { "fault" }.to_string(),
-                                ),
-                            ],
-                        );
-                    }
-                    if let Some((trace, labeller)) = &self.tracer {
-                        let cause = if partition {
-                            "fault-partition"
-                        } else {
-                            "fault-drop"
-                        };
-                        trace.record(TraceRecord {
-                            time: self.now,
-                            from: node,
-                            to,
-                            kind,
-                            delivered: false,
-                            label: format!("{cause}:{}", labeller(&msg)),
-                        });
-                    }
+                    let (cause, label) = if partition {
+                        ("partition", "fault-partition")
+                    } else {
+                        ("fault", "fault-drop")
+                    };
+                    self.record_drop(node, to, kind, cause);
+                    self.trace_message(node, to, kind, &msg, false, Some(format_args!("{label}")));
                 }
                 Judgement::Deliveries { extra, action } => {
                     if let Some(o) = &self.obs {
@@ -478,16 +515,14 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                             ],
                         );
                     }
-                    if let Some((trace, labeller)) = &self.tracer {
-                        trace.record(TraceRecord {
-                            time: self.now,
-                            from: node,
-                            to,
-                            kind,
-                            delivered: true,
-                            label: format!("fault-{action}:{}", labeller(&msg)),
-                        });
-                    }
+                    self.trace_message(
+                        node,
+                        to,
+                        kind,
+                        &msg,
+                        true,
+                        Some(format_args!("fault-{action}")),
+                    );
                     for offset in extra {
                         self.push(
                             natural + offset,
@@ -517,33 +552,11 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
                 msg,
             } => {
                 let delivered = self.alive[to.0];
-                if let Some((trace, labeller)) = &self.tracer {
-                    trace.record(TraceRecord {
-                        time: self.now,
-                        from,
-                        to,
-                        kind,
-                        delivered,
-                        label: labeller(&msg),
-                    });
-                }
+                self.trace_message(from, to, kind, &msg, delivered, None);
                 if delivered {
                     self.dispatch_to(to, |a, ctx| a.on_message(ctx, from, kind, msg));
                 } else {
-                    self.network.stats().record_drop();
-                    if let Some(o) = &self.obs {
-                        o.dropped_crashed.inc();
-                        o.bundle.events().record(
-                            self.now.ticks(),
-                            "sim.drop",
-                            vec![
-                                ("from".to_string(), from.to_string()),
-                                ("to".to_string(), to.to_string()),
-                                ("kind".to_string(), format!("{kind:?}")),
-                                ("cause".to_string(), "crashed".to_string()),
-                            ],
-                        );
-                    }
+                    self.record_drop(from, to, kind, "crashed");
                 }
             }
             EventKind::Local { to, msg } => {
@@ -594,30 +607,51 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
         }
     }
 
-    /// Runs until the event queue drains (or `max_events` trips, in which
-    /// case [`Engine::budget_exhausted`] turns true and the remaining
-    /// queue is left untouched — the driver decides how to report it).
-    /// Returns the number of events dispatched by this call.
+    /// Runs until the event queue drains (or `max_events` events pass
+    /// without it draining, in which case [`Engine::budget_exhausted`]
+    /// turns true and the remaining queue is left untouched — the driver
+    /// decides how to report it). Returns the number of events
+    /// dispatched by this call.
     pub fn run_until_idle(&mut self) -> u64 {
         let start = self.dispatched;
         while let Some(Reverse(event)) = self.queue.pop() {
-            if self.max_events > 0 && self.dispatched >= self.max_events {
+            if self.window_full() {
                 // Put the event back: the state is inspectable, just not
                 // runnable any further under this budget.
                 self.queue.push(Reverse(event));
-                self.overflowed = true;
                 break;
             }
             self.now = event.time;
-            self.dispatched += 1;
+            self.count_dispatch();
             self.dispatch_event(event.kind);
         }
+        self.end_window_if_idle();
         self.dispatched - start
     }
 
-    /// Whether a `run_until_idle` call tripped the `max_events` safety
-    /// valve (a runaway protocol, or an exploration budget set
-    /// deliberately tight). Sticky until the engine is dropped.
+    /// Whether the current window has used up the event budget; trips
+    /// the valve if so.
+    fn window_full(&mut self) -> bool {
+        let full = self.max_events > 0 && self.window >= self.max_events;
+        self.overflowed |= full;
+        full
+    }
+
+    fn count_dispatch(&mut self) {
+        self.dispatched += 1;
+        self.window += 1;
+    }
+
+    /// A drained queue ends the budget window.
+    fn end_window_if_idle(&mut self) {
+        if self.queue.is_empty() {
+            self.window = 0;
+        }
+    }
+
+    /// Whether a run tripped the `max_events` safety valve (a runaway
+    /// protocol, or an exploration budget set deliberately tight).
+    /// Sticky until the engine is dropped.
     pub fn budget_exhausted(&self) -> bool {
         self.overflowed
     }
@@ -715,8 +749,7 @@ impl<M: Clone + Hash, A: Actor<M>> Engine<M, A> {
     /// Returns `false` if no such event is queued, or the event budget is
     /// already exhausted (the event stays queued).
     pub fn dispatch_by_seq(&mut self, seq: u64) -> bool {
-        if self.max_events > 0 && self.dispatched >= self.max_events {
-            self.overflowed = true;
+        if self.window_full() {
             return false;
         }
         let mut rest = Vec::with_capacity(self.queue.len());
@@ -732,8 +765,9 @@ impl<M: Clone + Hash, A: Actor<M>> Engine<M, A> {
         match chosen {
             Some(event) => {
                 self.now = self.now.max(event.time);
-                self.dispatched += 1;
+                self.count_dispatch();
                 self.dispatch_event(event.kind);
+                self.end_window_if_idle();
                 true
             }
             None => false,
@@ -753,9 +787,9 @@ impl<M: Clone + Hash, A: Actor<M>> Engine<M, A> {
 
 impl<M: Clone, A: Actor<M> + Clone> Engine<M, A> {
     /// Deep-copies the engine: actors, liveness, the event queue, virtual
-    /// clock, fault state, and an *independent* copy of the network
-    /// statistics (mutating the fork never shows in the original). The
-    /// tracer is not carried over. Sequence numbers continue from the
+    /// clock, fault state, budget window and network tallies (mutating
+    /// the fork never shows in the original). Neither the obs bundle nor
+    /// message tracing is carried over. Sequence numbers continue from the
     /// same counter, so the same `inject`/`dispatch_by_seq` calls on two
     /// forks name the same events — the property a model checker's DFS
     /// relies on.
@@ -764,15 +798,15 @@ impl<M: Clone, A: Actor<M> + Clone> Engine<M, A> {
             actors: self.actors.clone(),
             alive: self.alive.clone(),
             queue: self.queue.clone(),
-            network: self.network.fork(),
+            network: self.network.clone(),
             now: self.now,
             seq: self.seq,
             dispatched: self.dispatched,
+            window: self.window,
             max_events: self.max_events,
             overflowed: self.overflowed,
-            tracer: None,
-            // Like the tracer, the obs bundle is not carried over: forks
-            // incrementing the shared registry would multiply-count.
+            labeller: None,
+            // Forks incrementing the shared registry would multiply-count.
             obs: None,
             faults: self.faults.clone(),
         }
@@ -835,7 +869,7 @@ mod tests {
         engine.run_until_idle();
         // 4 messages sent on the wire: 3→b, 2→a, 1→b, 0→a... wait: a sees 4
         // (local), sends 3; b sends 2; a sends 1; b sends 0; a sees 0, stops.
-        let stats = engine.net_stats().snapshot();
+        let stats = engine.net_stats();
         assert_eq!(stats.control_sent + stats.data_sent, 4);
         // Kinds alternate with parity of the value sent: 3(data→wait msg=4
         // even→Control carrying 3), 2 is sent while msg=3 odd→Data, etc.
@@ -871,7 +905,7 @@ mod tests {
         engine.schedule_crash(b, 0);
         engine.inject(a, 1, 3); // a replies 2 to b, which is down
         engine.run_until_idle();
-        assert_eq!(engine.net_stats().snapshot().dropped, 1);
+        assert_eq!(engine.net_stats().dropped, 1);
         assert!(engine.actor(b).seen.is_empty());
         assert!(!engine.is_alive(b));
         assert_eq!(engine.actor(b).crashed, 1);
@@ -930,6 +964,32 @@ mod tests {
     }
 
     #[test]
+    fn budget_counts_per_idle_window() {
+        let mut engine: Engine<u32, PingPong> = Engine::new(EngineConfig {
+            network: NetworkConfig::default(),
+            max_events: 10,
+        });
+        let a = engine.add_node(PingPong::new(Some(NodeId(1))));
+        engine.add_node(PingPong::new(Some(NodeId(0))));
+        // Each exchange is 5 events (one injection, four deliveries) and
+        // drains the queue; ten of them far exceed the budget in total.
+        for _ in 0..10 {
+            engine.inject(a, 0, 4);
+            assert_eq!(engine.run_until_idle(), 5);
+        }
+        assert!(!engine.budget_exhausted(), "settled windows never trip");
+        assert_eq!(engine.dispatched(), 50, "lifetime total still counts");
+        // Driving one exchange event by event also resets at idle.
+        for _ in 0..3 {
+            engine.inject(a, 0, 4);
+            while let Some(next) = engine.pending_events(|m| m.to_string()).first() {
+                assert!(engine.dispatch_by_seq(next.seq()));
+            }
+        }
+        assert!(!engine.budget_exhausted());
+    }
+
+    #[test]
     fn installed_drop_rule_loses_the_message_but_keeps_the_send_tally() {
         use crate::fault::{FaultAction, FaultPlan, FaultRule, LinkFilter};
         let mut engine: Engine<u32, PingPong> = Engine::new(EngineConfig::default());
@@ -944,7 +1004,7 @@ mod tests {
         // a's first reply (3→b) is eaten; the exchange dies there.
         assert_eq!(engine.actor(a).seen, vec![4]);
         assert!(engine.actor(b).seen.is_empty());
-        let stats = engine.net_stats().snapshot();
+        let stats = engine.net_stats();
         assert_eq!(stats.control_sent + stats.data_sent, 1, "sender still pays");
         assert_eq!(stats.dropped, 1);
         assert_eq!(engine.fault_stats().dropped, 1);
@@ -987,7 +1047,7 @@ mod tests {
         assert_eq!(engine.actor(b).got, vec![9, 9], "original plus one copy");
         assert_eq!(engine.fault_stats().duplicated, 1);
         // Exactly one send was tallied: the duplicate is injected, not paid.
-        let stats = engine.net_stats().snapshot();
+        let stats = engine.net_stats();
         assert_eq!(stats.data_sent, 1);
     }
 
@@ -1040,7 +1100,7 @@ mod tests {
         assert_eq!(engine.actor(b).crashed, 1);
         assert_eq!(engine.actor(b).recovered, 1);
         assert!(engine.actor(b).seen.is_empty());
-        assert_eq!(engine.net_stats().snapshot().dropped, 1);
+        assert_eq!(engine.net_stats().dropped, 1);
     }
 
     #[test]
@@ -1049,19 +1109,20 @@ mod tests {
         let mut engine: Engine<u32, PingPong> = Engine::new(EngineConfig::default());
         let a = engine.add_node(PingPong::new(Some(NodeId(1))));
         let b = engine.add_node(PingPong::new(Some(NodeId(0))));
-        let trace = TraceHandle::new(16);
-        engine.set_tracer(trace.clone(), |m| format!("m{m}"));
+        let obs = doma_obs::Obs::new(16);
+        engine.set_obs(obs.clone());
+        engine.trace_messages(|m| format!("m{m}"));
         engine.install_faults(
             FaultPlan::new(0)
                 .rule(FaultRule::always(LinkFilter::link(a, b), FaultAction::Drop).with_budget(1)),
         );
         engine.inject(a, 0, 4);
         engine.run_until_idle();
-        let records = trace.snapshot();
+        let records = obs.events().snapshot();
         assert!(
-            records
-                .iter()
-                .any(|r| r.label == "fault-drop:m3" && !r.delivered),
+            records.iter().any(|r| r.name == MESSAGE_EVENT
+                && r.field("label") == Some("fault-drop:m3")
+                && r.field("delivered") == Some("false")),
             "expected a fault-drop trace record, got {records:?}"
         );
     }
@@ -1191,7 +1252,7 @@ mod tests {
         assert!(engine.actor(a).got.is_empty(), "original untouched");
         assert_eq!(engine.pending_len(), 2);
         // Network stats are deep-copied, not shared.
-        fork.net_stats().record_drop();
-        assert_eq!(engine.net_stats().snapshot().dropped, 0);
+        fork.network.record_drop();
+        assert_eq!(engine.net_stats().dropped, 0);
     }
 }

@@ -4,14 +4,17 @@
 //! the substrate `doma-protocol` runs SA and DA on.
 //!
 //! * [`SimTime`] — a virtual clock in abstract ticks.
-//! * [`Network`] — point-to-point links with distinct control/data message
-//!   latencies and exact per-kind message tallies ([`NetStats`]), shared
-//!   through a cloneable [`StatsHandle`]. Messages count when *sent*
-//!   (matching the paper's cost model, which prices transmissions).
 //! * [`Engine`] — the event loop: actors implement [`Actor`]; events are
 //!   delivered in `(time, sequence)` order, so runs are fully
-//!   deterministic. Crash/recover events model processor failures:
-//!   messages to a crashed node are dropped (and counted as such).
+//!   deterministic. Links have distinct control/data message latencies
+//!   ([`NetworkConfig`]) and the engine keeps exact per-kind message
+//!   tallies ([`Engine::net_stats`]). Messages count when *sent*
+//!   (matching the paper's cost model, which prices transmissions).
+//!   Crash/recover events model processor failures: messages to a
+//!   crashed node are dropped (and counted as such).
+//! * Observability — [`Engine::set_obs`] counts sends, drops and faults
+//!   into a [`doma_obs::Obs`] bundle, and [`Engine::trace_messages`]
+//!   adds one `sim.trace` record per delivery to its event log.
 //! * [`FaultPlan`] — deterministic fault injection: declarative
 //!   drop/delay/duplicate/jitter rules, partitions and crash schedules,
 //!   installed via [`Engine::install_faults`] and reproducible from a
@@ -32,10 +35,8 @@ mod fault;
 mod network;
 pub mod shard;
 mod time;
-mod trace;
 
 pub use engine::{Actor, Context, Engine, EngineConfig, NodeId, PendingClass, PendingEvent};
 pub use fault::{CrashEvent, FaultAction, FaultPlan, FaultRule, FaultStats, LinkFilter, Partition};
-pub use network::{Medium, MsgKind, NetStats, Network, NetworkConfig, StatsHandle};
+pub use network::{Medium, MsgKind, NetStats, NetworkConfig};
 pub use time::SimTime;
-pub use trace::{TraceHandle, TraceRecord};

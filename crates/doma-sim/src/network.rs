@@ -1,7 +1,5 @@
 //! Point-to-point network model with per-kind message accounting.
 
-use std::sync::{Arc, Mutex};
-
 /// The two message classes of the cost model (§1.2): short control
 /// messages (requests, invalidations) priced at `cc`, and data messages
 /// (carrying the object) priced at `cd`.
@@ -21,50 +19,9 @@ pub struct NetStats {
     pub control_sent: u64,
     /// Data messages sent.
     pub data_sent: u64,
-    /// Messages dropped because the destination was crashed.
+    /// Messages lost before delivery: at a crashed destination or to a
+    /// fault.
     pub dropped: u64,
-}
-
-/// A cloneable handle onto the engine's live network statistics; tests and
-/// drivers hold one while the engine mutates the shared tallies.
-#[derive(Debug, Clone, Default)]
-pub struct StatsHandle(Arc<Mutex<NetStats>>);
-
-impl StatsHandle {
-    /// Creates a zeroed handle.
-    pub fn new() -> Self {
-        StatsHandle::default()
-    }
-
-    /// A snapshot of the current tallies.
-    pub fn snapshot(&self) -> NetStats {
-        // A poisoned lock only means another thread panicked mid-update;
-        // the u64 tallies are always structurally valid, so keep going.
-        *self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Zeroes the tallies (e.g. between experiment phases).
-    pub fn reset(&self) {
-        *self.0.lock().unwrap_or_else(|e| e.into_inner()) = NetStats::default();
-    }
-
-    /// An independent handle starting from the same tallies (used by
-    /// [`crate::Engine::fork`]; updates no longer flow between the two).
-    pub fn fork(&self) -> Self {
-        StatsHandle(Arc::new(Mutex::new(self.snapshot())))
-    }
-
-    pub(crate) fn record_send(&self, kind: MsgKind) {
-        let mut s = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        match kind {
-            MsgKind::Control => s.control_sent += 1,
-            MsgKind::Data => s.data_sent += 1,
-        }
-    }
-
-    pub(crate) fn record_drop(&self) {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).dropped += 1;
-    }
 }
 
 /// The transmission medium.
@@ -121,9 +78,9 @@ impl NetworkConfig {
 /// except for crashed destinations — exactly the model of §3.2 (with the
 /// optional bus medium of the introduction's Ethernet discussion).
 #[derive(Debug, Clone)]
-pub struct Network {
+pub(crate) struct Network {
     config: NetworkConfig,
-    stats: StatsHandle,
+    stats: NetStats,
     /// SharedBus only: the tick until which the bus is occupied.
     bus_busy_until: u64,
     /// SharedBus only: cumulative ticks messages spent waiting for the bus.
@@ -131,18 +88,18 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network with the given config and a fresh stats handle.
-    pub fn new(config: NetworkConfig) -> Self {
+    /// Creates a network with the given config and zeroed tallies.
+    pub(crate) fn new(config: NetworkConfig) -> Self {
         Network {
             config,
-            stats: StatsHandle::new(),
+            stats: NetStats::default(),
             bus_busy_until: 0,
             total_queue_wait: 0,
         }
     }
 
     /// The transmission time for a message kind.
-    pub fn tx_time(&self, kind: MsgKind) -> u64 {
+    fn tx_time(&self, kind: MsgKind) -> u64 {
         match kind {
             MsgKind::Control => self.config.control_latency,
             MsgKind::Data => self.config.data_latency,
@@ -151,7 +108,7 @@ impl Network {
 
     /// Computes the delivery tick of a message sent at `now`, updating the
     /// bus occupancy when the medium is shared.
-    pub fn schedule_delivery(&mut self, now: u64, kind: MsgKind) -> u64 {
+    pub(crate) fn schedule_delivery(&mut self, now: u64, kind: MsgKind) -> u64 {
         let tx = self.tx_time(kind);
         match self.config.medium {
             Medium::PointToPoint => now + tx,
@@ -165,30 +122,26 @@ impl Network {
     }
 
     /// Cumulative ticks spent queueing for the bus (0 for point-to-point).
-    pub fn total_queue_wait(&self) -> u64 {
+    pub(crate) fn total_queue_wait(&self) -> u64 {
         self.total_queue_wait
     }
 
-    /// The configured medium.
-    pub fn medium(&self) -> Medium {
-        self.config.medium
+    /// The tallies so far.
+    pub(crate) fn stats(&self) -> NetStats {
+        self.stats
     }
 
-    /// The shared statistics handle.
-    pub fn stats(&self) -> StatsHandle {
-        self.stats.clone()
-    }
-
-    /// Deep copy: same config, bus state, and tallies, but an independent
-    /// stats cell — a plain `clone()` would share the `Arc`'d tallies and
-    /// let a forked engine's traffic leak into the original's accounting.
-    pub fn fork(&self) -> Self {
-        Network {
-            config: self.config,
-            stats: self.stats.fork(),
-            bus_busy_until: self.bus_busy_until,
-            total_queue_wait: self.total_queue_wait,
+    /// Tallies one send; the sender pays whatever happens to the message.
+    pub(crate) fn record_send(&mut self, kind: MsgKind) {
+        match kind {
+            MsgKind::Control => self.stats.control_sent += 1,
+            MsgKind::Data => self.stats.data_sent += 1,
         }
+    }
+
+    /// Tallies one message lost before delivery.
+    pub(crate) fn record_drop(&mut self) {
+        self.stats.dropped += 1;
     }
 }
 
@@ -197,19 +150,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_handle_shares_state() {
-        let net = Network::new(NetworkConfig::default());
-        let h1 = net.stats();
-        let h2 = net.stats();
-        h1.record_send(MsgKind::Control);
-        h1.record_send(MsgKind::Data);
-        h1.record_drop();
-        let s = h2.snapshot();
+    fn tallies_count_by_kind_and_clones_are_independent() {
+        let mut net = Network::new(NetworkConfig::default());
+        net.record_send(MsgKind::Control);
+        net.record_send(MsgKind::Data);
+        net.record_drop();
+        let copy = net.clone();
+        net.record_drop();
+        let s = copy.stats();
         assert_eq!(s.control_sent, 1);
         assert_eq!(s.data_sent, 1);
         assert_eq!(s.dropped, 1);
-        h2.reset();
-        assert_eq!(h1.snapshot(), NetStats::default());
+        assert_eq!(net.stats().dropped, 2);
     }
 
     #[test]
@@ -230,7 +182,7 @@ mod tests {
     #[test]
     fn shared_bus_serializes_transmissions() {
         let mut net = Network::new(NetworkConfig::shared_bus(1, 4));
-        assert_eq!(net.medium(), Medium::SharedBus);
+        assert_eq!(net.config.medium, Medium::SharedBus);
         // Three data messages sent at t=0 queue behind each other.
         assert_eq!(net.schedule_delivery(0, MsgKind::Data), 4);
         assert_eq!(net.schedule_delivery(0, MsgKind::Data), 8);

@@ -67,7 +67,7 @@ fi
 # ---------------------------------------------------------------------------
 # Build + test, fully offline.
 # ---------------------------------------------------------------------------
-cargo build --release --offline
+cargo build --release --offline --workspace
 
 # ---------------------------------------------------------------------------
 # Semantic lint wall: the token-tree engine (determinism, lock-order,
