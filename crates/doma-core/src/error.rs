@@ -52,6 +52,8 @@ pub enum DomaError {
     EventBudgetExceeded {
         /// Events dispatched without going idle when the budget tripped.
         dispatched: u64,
+        /// The per-window event budget that tripped.
+        budget: u64,
     },
     /// Wire decoding ran out of bytes: the frame or a field inside it was
     /// cut short. Incremental decoders treat this as "wait for more
@@ -79,6 +81,9 @@ pub enum DomaError {
     ClusterStalled {
         /// Poll rounds issued before giving up.
         polls: usize,
+        /// The last poll's `(sent, received)` node-to-node frame counts,
+        /// one pair per node.
+        counts: Vec<(u64, u64)>,
     },
 }
 
@@ -110,11 +115,12 @@ impl fmt::Display for DomaError {
             DomaError::UnknownObject { node, object } => {
                 write!(f, "node {node} has no config for obj{object}")
             }
-            DomaError::EventBudgetExceeded { dispatched } => {
+            DomaError::EventBudgetExceeded { dispatched, budget } => {
                 write!(
                     f,
-                    "simulation stopped at its event budget after {dispatched} \
-                     events dispatched without going idle — runaway protocol?"
+                    "simulation stopped at its event budget of {budget} after \
+                     {dispatched} events dispatched without going idle — \
+                     runaway protocol?"
                 )
             }
             DomaError::WireTruncated { needed, have } => {
@@ -127,12 +133,16 @@ impl fmt::Display for DomaError {
                 write!(f, "corrupt wire data while reading {context}")
             }
             DomaError::Net(msg) => write!(f, "network transport failure: {msg}"),
-            DomaError::ClusterStalled { polls } => {
+            DomaError::ClusterStalled { polls, counts } => {
                 write!(
                     f,
-                    "cluster failed to quiesce after {polls} poll round(s) — \
-                     hung node or runaway protocol?"
-                )
+                    "cluster failed to quiesce after {polls} poll round(s); \
+                     last poll sent/received per node:"
+                )?;
+                for (node, (sent, received)) in counts.iter().enumerate() {
+                    write!(f, " n{node}={sent}/{received}")?;
+                }
+                write!(f, " — hung node or runaway protocol?")
             }
         }
     }
@@ -181,7 +191,23 @@ mod tests {
         let e = DomaError::Net("connection refused".into());
         assert!(e.to_string().contains("connection refused"));
 
-        let e = DomaError::ClusterStalled { polls: 42 };
-        assert!(e.to_string().contains("42 poll"));
+        let e = DomaError::ClusterStalled {
+            polls: 42,
+            counts: vec![(3, 2), (0, 1)],
+        };
+        let s = e.to_string();
+        assert!(s.contains("42 poll"));
+        assert!(s.contains("n0=3/2 n1=0/1"), "{s}");
+    }
+
+    #[test]
+    fn event_budget_message_names_the_budget() {
+        let e = DomaError::EventBudgetExceeded {
+            dispatched: 1_000,
+            budget: 1_000,
+        };
+        let s = e.to_string();
+        assert!(s.contains("event budget of 1000"), "{s}");
+        assert!(s.contains("after 1000 events"), "{s}");
     }
 }

@@ -290,12 +290,10 @@ impl InvariantChecker {
     ) -> Result<(), Violation> {
         // A tripped event budget means the cluster never quiesced: the
         // state below would be a lie, and the run is a protocol error.
-        if sim.engine_ref().budget_exhausted() {
+        if let Some(error) = sim.budget_error() {
             return Err(Violation::ProtocolError {
                 node: 0,
-                error: DomaError::EventBudgetExceeded {
-                    dispatched: sim.engine_ref().dispatched(),
-                },
+                error,
                 context: context.into(),
             });
         }

@@ -84,7 +84,8 @@ impl Cluster {
     /// [`doma_protocol::ProtocolSim::new_adaptive`]). When `obs` is
     /// given, every node tallies into it — node threads share the bundle,
     /// and all protocol metrics are commutative counters, so totals are
-    /// deterministic regardless of delivery interleaving.
+    /// deterministic regardless of delivery interleaving. Returns once
+    /// every node's outgoing mesh is connected.
     ///
     /// Fails with [`DomaError::Net`] when the platform refuses sockets
     /// (sandboxes without network namespaces) — callers treat that as
@@ -161,13 +162,21 @@ impl Cluster {
             planner.install_oracle(object, oracle);
         }
 
-        Ok(Cluster {
+        let mut cluster = Cluster {
             n,
             planner,
             conns,
             handles,
             uds_dir,
-        })
+        };
+        // One poll round: a node answers only from its event loop, which
+        // starts after its own mesh connects, so the cluster returned
+        // here has a complete mesh and may be shut down at once.
+        if let Err(e) = cluster.poll() {
+            let _ = cluster.shutdown();
+            return Err(e);
+        }
+        Ok(cluster)
     }
 
     /// Cluster size.
@@ -202,38 +211,48 @@ impl Cluster {
         Ok(trajectory)
     }
 
+    /// One `Poll` round: every node's `(sent, received)` counters of
+    /// node-to-node frames.
+    fn poll(&mut self) -> Result<Vec<(u64, u64)>> {
+        let mut counts = Vec::with_capacity(self.n);
+        for conn in &mut self.conns {
+            conn.writer().write_frame(&WireFrame::Poll)?;
+        }
+        for conn in &mut self.conns {
+            match conn.read_frame()? {
+                Some(WireFrame::PollReply { sent, received }) => {
+                    counts.push((sent, received));
+                }
+                Some(other) => {
+                    return Err(DomaError::Net(format!("expected PollReply, got {other:?}")))
+                }
+                None => return Err(DomaError::Net("node closed connection mid-poll".into())),
+            }
+        }
+        Ok(counts)
+    }
+
     /// The double-poll quiescence barrier (see the module docs).
     fn quiesce(&mut self) -> Result<()> {
-        let mut prev: Option<Vec<(u64, u64)>> = None;
+        let mut prev: Vec<(u64, u64)> = Vec::new();
         for polls in 0..POLL_BUDGET {
-            let mut counts = Vec::with_capacity(self.n);
-            for conn in &mut self.conns {
-                conn.writer().write_frame(&WireFrame::Poll)?;
-            }
-            for conn in &mut self.conns {
-                match conn.read_frame()? {
-                    Some(WireFrame::PollReply { sent, received }) => {
-                        counts.push((sent, received));
-                    }
-                    Some(other) => {
-                        return Err(DomaError::Net(format!("expected PollReply, got {other:?}")))
-                    }
-                    None => return Err(DomaError::Net("node closed connection mid-poll".into())),
-                }
-            }
+            let counts = self.poll()?;
             let sent: u64 = counts.iter().map(|(s, _)| s).sum();
             let received: u64 = counts.iter().map(|(_, r)| r).sum();
-            if sent == received && prev.as_ref() == Some(&counts) {
+            if sent == received && prev == counts {
                 return Ok(());
             }
-            prev = Some(counts);
+            prev = counts;
             if polls > 2 {
                 // Frames are in kernel buffers, not CPU queues — yield
                 // rather than hammering the sockets.
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
         }
-        Err(DomaError::ClusterStalled { polls: POLL_BUDGET })
+        Err(DomaError::ClusterStalled {
+            polls: POLL_BUDGET,
+            counts: prev,
+        })
     }
 
     /// Collects per-node tallies with a `Report` round.

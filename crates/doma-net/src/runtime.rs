@@ -72,9 +72,19 @@ pub(crate) enum Conn {
 }
 
 impl Conn {
+    /// The only way a TCP stream becomes a `Conn`: with `TCP_NODELAY`
+    /// set. Every protocol message is one small frame per write, and
+    /// Nagle's algorithm would hold a frame back behind the previous
+    /// unacknowledged one until the peer's delayed-ACK timer fires —
+    /// about 40 ms per request. Clones share the socket and the option.
+    fn tcp(stream: TcpStream) -> std::io::Result<Conn> {
+        stream.set_nodelay(true)?;
+        Ok(Conn::Tcp(stream))
+    }
+
     pub(crate) fn connect(addr: &Addr) -> std::io::Result<Conn> {
         match addr {
-            Addr::Tcp(a) => TcpStream::connect(a).map(Conn::Tcp),
+            Addr::Tcp(a) => TcpStream::connect(a).and_then(Conn::tcp),
             Addr::Uds(p) => UnixStream::connect(p).map(Conn::Uds),
         }
     }
@@ -196,7 +206,7 @@ impl Listener {
 
     fn accept(&self) -> std::io::Result<Conn> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| Conn::tcp(s)),
             Listener::Uds(l) => l.accept().map(|(s, _)| Conn::Uds(s)),
         }
     }
@@ -385,4 +395,35 @@ fn flush(id: usize, transport: &mut NetTransport, out: &mut [Option<Conn>]) -> R
         })?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nodelay(conn: &Conn) -> bool {
+        match conn {
+            Conn::Tcp(s) => s.nodelay().expect("read TCP_NODELAY"),
+            Conn::Uds(_) => panic!("expected a TCP stream"),
+        }
+    }
+
+    /// Both ends of a runtime TCP stream, and their cloned writer
+    /// halves, carry `TCP_NODELAY`.
+    #[test]
+    fn tcp_streams_are_born_nodelay() {
+        let (listener, addr) = match Listener::bind(TransportKind::Tcp, 0, &std::env::temp_dir()) {
+            Ok(bound) => bound,
+            Err(e) => {
+                eprintln!("skipping nodelay test: sockets unavailable ({e})");
+                return;
+            }
+        };
+        let dialled = Conn::connect(&addr).expect("connect");
+        let accepted = listener.accept().expect("accept");
+        for conn in [&dialled, &accepted] {
+            assert!(nodelay(conn));
+            assert!(nodelay(&conn.try_clone().expect("clone")));
+        }
+    }
 }

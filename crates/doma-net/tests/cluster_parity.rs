@@ -7,6 +7,7 @@ use doma_core::{DomaError, ObjectId, ProcSet, ProcessorId, Schedule};
 use doma_net::{Cluster, TransportKind};
 use doma_protocol::{ProtocolConfig, ProtocolSim};
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
 fn pair(a: u8, b: u8) -> ProcSet {
     let mut s = ProcSet::EMPTY;
@@ -33,11 +34,16 @@ fn boot(n: usize, config: ProtocolConfig, kind: TransportKind) -> Option<(Cluste
 
 /// Runs `schedule` through both twins and asserts identical per-request
 /// holder trajectories and identical final cost/holders/read tallies.
-fn assert_parity(n: usize, config: ProtocolConfig, kind: TransportKind, schedule: &str) {
+/// Returns the cluster's wall time for the schedule (`None` when the
+/// test was skipped).
+fn assert_parity(
+    n: usize,
+    config: ProtocolConfig,
+    kind: TransportKind,
+    schedule: &str,
+) -> Option<Duration> {
     let schedule: Schedule = schedule.parse().unwrap();
-    let Some((mut cluster, object)) = boot(n, config.clone(), kind) else {
-        return;
-    };
+    let (mut cluster, object) = boot(n, config.clone(), kind)?;
 
     let mut sim = match config {
         ProtocolConfig::Sa { q } => ProtocolSim::new_sa(n, q).unwrap(),
@@ -51,7 +57,9 @@ fn assert_parity(n: usize, config: ProtocolConfig, kind: TransportKind, schedule
     }
     let sim_report = sim.report();
 
+    let start = Instant::now();
     let net_trajectory = cluster.execute_schedule(object, &schedule).unwrap();
+    let elapsed = start.elapsed();
     let net_report = cluster.report().unwrap();
     cluster.shutdown().unwrap();
 
@@ -63,6 +71,7 @@ fn assert_parity(n: usize, config: ProtocolConfig, kind: TransportKind, schedule
     assert_eq!(net_report.final_holders, sim_report.final_holders);
     assert_eq!(net_report.reads_completed, sim_report.reads_completed);
     assert_eq!(net_report.errors, 0, "cluster recorded protocol errors");
+    Some(elapsed)
 }
 
 const MIXED: &str = "w2 r4 w3 r1 r2 w0 r3 r4 r0 w1 r2 r3";
@@ -111,6 +120,47 @@ fn da_tcp_matches_sim() {
         TransportKind::Tcp,
         "w0 r1 r2 w2 r0 r1 w1 r2",
     );
+}
+
+/// A coarse guard against Nagle's algorithm on the TCP path: every
+/// request is a few one-frame writes, and a stream without
+/// `TCP_NODELAY` waits out the peer's delayed ACK (~40 ms) per request,
+/// about 2 s for these 50. With the option set they take milliseconds.
+#[test]
+fn tcp_requests_are_not_held_back_by_nagle() {
+    let schedule = ["w0 r1 r2 w2 r0 r1 w1 r2 r0 w0"; 5].join(" ");
+    let Some(elapsed) = assert_parity(
+        3,
+        ProtocolConfig::Da {
+            f: ProcSet::EMPTY.with(ProcessorId::new(2)),
+            p: ProcessorId::new(0),
+        },
+        TransportKind::Tcp,
+        &schedule,
+    ) else {
+        return;
+    };
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 TCP requests took {elapsed:?}"
+    );
+}
+
+/// `Cluster::new` returns only once every node's mesh is up, so a
+/// cluster shut down right after booting never catches a node still
+/// dialling a peer that has already exited. Boots run one at a time.
+#[test]
+fn boot_then_immediate_shutdown_is_clean() {
+    for kind in [TransportKind::Tcp, TransportKind::Uds] {
+        for round in 0..20 {
+            let Some((cluster, _)) = boot(3, ProtocolConfig::Sa { q: pair(0, 1) }, kind) else {
+                return;
+            };
+            if let Err(e) = cluster.shutdown() {
+                panic!("{kind:?} boot {round}: shutdown failed: {e}");
+            }
+        }
+    }
 }
 
 /// Invalid requests are rejected by the planner before touching the

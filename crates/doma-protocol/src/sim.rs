@@ -499,10 +499,22 @@ impl ProtocolSim {
     /// as an error instead of a panic.
     fn run_settle(&mut self) -> Result<u64> {
         let dispatched = self.engine.run_until_idle();
-        if self.engine.budget_exhausted() {
-            return Err(DomaError::EventBudgetExceeded { dispatched });
+        match self.budget_error() {
+            Some(e) => Err(e),
+            None => Ok(dispatched),
         }
-        Ok(dispatched)
+    }
+
+    /// The tripped event-budget valve as a [`DomaError::EventBudgetExceeded`]
+    /// naming the events of the window that hit it and the budget;
+    /// `None` while the valve holds.
+    pub fn budget_error(&self) -> Option<DomaError> {
+        self.engine
+            .budget_exhausted()
+            .then(|| DomaError::EventBudgetExceeded {
+                dispatched: self.engine.window_dispatched(),
+                budget: self.engine.max_events(),
+            })
     }
 
     /// Runs the cluster to quiescence (after [`ProtocolSim::inject_request`]

@@ -167,23 +167,26 @@ fi
 # ---------------------------------------------------------------------------
 # Cluster-parity wall: the real runtime (doma-net) must reproduce the
 # deterministic sim twin exactly — §6.2 append-only scenario over Unix
-# domain sockets on loopback, 3 nodes, same seed and request schedule ⇒
-# identical allocation-scheme trajectory, cost totals and protocol obs
-# metrics. Fully offline (loopback only). Sandboxes that refuse sockets
-# print a notice and skip; anything else is a wall failure.
+# domain sockets and over TCP on loopback, 3 nodes, same seed and request
+# schedule ⇒ identical allocation-scheme trajectory, cost totals and
+# protocol obs metrics. Fully offline (loopback only). Sandboxes that
+# refuse sockets print a notice and skip; anything else is a wall failure.
 # ---------------------------------------------------------------------------
-if ! ./target/release/domactl cluster append-only-6-2 --nodes 3 --transport uds > "$obs_dir/cluster.txt" 2>&1; then
-    cat "$obs_dir/cluster.txt" >&2
-    echo "verify: FAILED (cluster diverged from the sim oracle)" >&2
-    exit 1
-fi
-if grep -q "notice: sockets unavailable" "$obs_dir/cluster.txt"; then
-    echo "verify: NOTICE (sockets unavailable in this sandbox; cluster-parity wall skipped)"
-elif ! grep -q "parity: MATCH" "$obs_dir/cluster.txt"; then
-    cat "$obs_dir/cluster.txt" >&2
-    echo "verify: FAILED (cluster run produced no parity verdict)" >&2
-    exit 1
-fi
+for transport in uds tcp; do
+    out="$obs_dir/cluster-$transport.txt"
+    if ! ./target/release/domactl cluster append-only-6-2 --nodes 3 --transport "$transport" > "$out" 2>&1; then
+        cat "$out" >&2
+        echo "verify: FAILED ($transport cluster diverged from the sim oracle)" >&2
+        exit 1
+    fi
+    if grep -q "notice: sockets unavailable" "$out"; then
+        echo "verify: NOTICE (sockets unavailable in this sandbox; $transport cluster-parity wall skipped)"
+    elif ! grep -q "parity: MATCH" "$out"; then
+        cat "$out" >&2
+        echo "verify: FAILED ($transport cluster run produced no parity verdict)" >&2
+        exit 1
+    fi
+done
 
 # ---------------------------------------------------------------------------
 # Exhaustive small-bound model check: every built-in doma-check scenario
