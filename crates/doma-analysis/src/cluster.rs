@@ -106,8 +106,10 @@ fn protocol_metrics(obs: &Obs) -> MetricsSnapshot {
 /// and diffs the two runs. `nodes` overrides the scenario's cluster size
 /// (both twins are resized, so parity still holds).
 ///
-/// Returns `Err(DomaError::Net)` when the platform refuses sockets —
-/// callers report "runtime unavailable" and skip, rather than failing.
+/// Returns an error starting "sockets unavailable" when the platform
+/// refuses to bind sockets — callers report "runtime unavailable" and
+/// skip, rather than failing. A cluster that binds but fails to boot is
+/// an ordinary error.
 pub fn run_twin(
     scenario: &Scenario,
     kind: TransportKind,
@@ -154,8 +156,8 @@ fn run_twin_schedule(
     let sim_metrics = protocol_metrics(&sim_obs);
 
     // The real-runtime twin: same config, same oracle, same planner —
-    // only the transport differs. Socket refusal is DomaError::Net and
-    // must stay distinguishable from a parity failure.
+    // only the transport differs. Socket refusal (bind) is DomaError::Net
+    // and must stay distinguishable from a parity or boot failure.
     let mut configs = BTreeMap::new();
     configs.insert(object, spec.config);
     let oracles = spec.oracle.map(|o| (object, o)).into_iter().collect();

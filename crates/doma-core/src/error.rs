@@ -50,9 +50,8 @@ pub enum DomaError {
     /// network going idle — a runaway protocol, or an exploration bound
     /// set deliberately tight.
     EventBudgetExceeded {
-        /// Events dispatched without going idle when the budget tripped.
-        dispatched: u64,
-        /// The per-window event budget that tripped.
+        /// The per-window event budget that tripped: the events
+        /// dispatched since the network was last idle.
         budget: u64,
     },
     /// Wire decoding ran out of bytes: the frame or a field inside it was
@@ -75,6 +74,12 @@ pub enum DomaError {
     /// explains what; the OS error is flattened to text so the variant
     /// stays `Clone + PartialEq`).
     Net(String),
+    /// A real-runtime cluster bound its sockets but failed to come up: a
+    /// node died, or the driver could not reach it. Unlike
+    /// [`DomaError::Net`] this is never "runtime unavailable" — the
+    /// message is the root cause, the failing node's own error when
+    /// there is one.
+    ClusterBoot(String),
     /// A real-runtime cluster failed to reach quiescence within the
     /// driver's poll budget — a hung node, or a genuinely runaway
     /// protocol.
@@ -115,12 +120,11 @@ impl fmt::Display for DomaError {
             DomaError::UnknownObject { node, object } => {
                 write!(f, "node {node} has no config for obj{object}")
             }
-            DomaError::EventBudgetExceeded { dispatched, budget } => {
+            DomaError::EventBudgetExceeded { budget } => {
                 write!(
                     f,
-                    "simulation stopped at its event budget of {budget} after \
-                     {dispatched} events dispatched without going idle — \
-                     runaway protocol?"
+                    "simulation stopped after its event budget of {budget} \
+                     events without going idle — runaway protocol?"
                 )
             }
             DomaError::WireTruncated { needed, have } => {
@@ -133,6 +137,7 @@ impl fmt::Display for DomaError {
                 write!(f, "corrupt wire data while reading {context}")
             }
             DomaError::Net(msg) => write!(f, "network transport failure: {msg}"),
+            DomaError::ClusterBoot(msg) => write!(f, "cluster failed to boot: {msg}"),
             DomaError::ClusterStalled { polls, counts } => {
                 write!(
                     f,
@@ -191,6 +196,11 @@ mod tests {
         let e = DomaError::Net("connection refused".into());
         assert!(e.to_string().contains("connection refused"));
 
+        let e = DomaError::ClusterBoot("node closed connection mid-poll".into());
+        let s = e.to_string();
+        assert!(s.contains("failed to boot"), "{s}");
+        assert!(s.contains("mid-poll"), "{s}");
+
         let e = DomaError::ClusterStalled {
             polls: 42,
             counts: vec![(3, 2), (0, 1)],
@@ -202,12 +212,8 @@ mod tests {
 
     #[test]
     fn event_budget_message_names_the_budget() {
-        let e = DomaError::EventBudgetExceeded {
-            dispatched: 1_000,
-            budget: 1_000,
-        };
+        let e = DomaError::EventBudgetExceeded { budget: 1_000 };
         let s = e.to_string();
-        assert!(s.contains("event budget of 1000"), "{s}");
-        assert!(s.contains("after 1000 events"), "{s}");
+        assert!(s.contains("event budget of 1000 events"), "{s}");
     }
 }

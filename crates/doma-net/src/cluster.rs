@@ -77,32 +77,23 @@ pub struct Cluster {
     uds_dir: Option<PathBuf>,
 }
 
-impl Cluster {
-    /// Boots a cluster of `n` nodes serving `configs`, over TCP loopback
-    /// or UDS per `kind`. Adaptive objects get their driver-side
-    /// `oracles` installed in the planner (same contract as
-    /// [`doma_protocol::ProtocolSim::new_adaptive`]). When `obs` is
-    /// given, every node tallies into it — node threads share the bundle,
-    /// and all protocol metrics are commutative counters, so totals are
-    /// deterministic regardless of delivery interleaving. Returns once
-    /// every node's outgoing mesh is connected.
-    ///
-    /// Fails with [`DomaError::Net`] when the platform refuses sockets
-    /// (sandboxes without network namespaces) — callers treat that as
-    /// "runtime unavailable", not as a protocol failure.
-    pub fn new(
-        n: usize,
-        configs: BTreeMap<ObjectId, ProtocolConfig>,
-        oracles: Vec<(ObjectId, Box<dyn PlanOracle>)>,
-        kind: TransportKind,
-        obs: Option<doma_obs::Obs>,
-    ) -> Result<Cluster> {
-        if n == 0 || n > doma_core::MAX_PROCESSORS {
-            return Err(DomaError::InvalidConfig(format!("bad cluster size {n}")));
-        }
-        if configs.is_empty() {
-            return Err(DomaError::InvalidConfig("empty object catalog".into()));
-        }
+/// A cluster's bound but not yet served sockets.
+struct Endpoints {
+    /// One listener per node.
+    listeners: Vec<Listener>,
+    /// Node addresses, in node order: what the driver dials.
+    addrs: Vec<Addr>,
+    /// Each node's mesh: `(index, address)` of every other node.
+    peers: Vec<Vec<(usize, Addr)>>,
+    /// The per-cluster socket directory (UDS only).
+    uds_dir: Option<PathBuf>,
+}
+
+impl Endpoints {
+    /// Binds every node's listener before anything connects, so the mesh
+    /// and the driver can then connect in any order. A failure here is
+    /// the platform refusing sockets: [`DomaError::Net`].
+    fn bind(n: usize, kind: TransportKind) -> Result<Endpoints> {
         let uds_dir = match kind {
             TransportKind::Uds => {
                 let dir = std::env::temp_dir().join(format!(
@@ -118,9 +109,6 @@ impl Cluster {
         };
         let fallback = std::env::temp_dir();
         let dir = uds_dir.as_deref().unwrap_or(&fallback);
-
-        // Bind every listener before anything connects: the mesh and the
-        // driver can then connect in any order.
         let mut listeners = Vec::with_capacity(n);
         let mut addrs: Vec<Addr> = Vec::with_capacity(n);
         for i in 0..n {
@@ -128,19 +116,79 @@ impl Cluster {
             listeners.push(l);
             addrs.push(addr);
         }
+        let peers = (0..n)
+            .map(|i| {
+                addrs
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, _)| *j != i)
+                    .map(|(j, a)| (j, a.clone()))
+                    .collect()
+            })
+            .collect();
+        Ok(Endpoints {
+            listeners,
+            addrs,
+            peers,
+            uds_dir,
+        })
+    }
+}
 
+impl Cluster {
+    /// Boots a cluster of `n` nodes serving `configs`, over TCP loopback
+    /// or UDS per `kind`. Adaptive objects get their driver-side
+    /// `oracles` installed in the planner (same contract as
+    /// [`doma_protocol::ProtocolSim::new_adaptive`]). When `obs` is
+    /// given, every node tallies into it — node threads share the bundle,
+    /// and all protocol metrics are commutative counters, so totals are
+    /// deterministic regardless of delivery interleaving. Returns once
+    /// every node's outgoing mesh is connected.
+    ///
+    /// Fails with [`DomaError::Net`] only when the platform refuses to
+    /// bind sockets (sandboxes without network namespaces) — callers
+    /// treat that as "runtime unavailable", not as a protocol failure.
+    /// Any failure after every listener is bound is the cluster's own
+    /// and comes back as [`DomaError::ClusterBoot`].
+    pub fn new(
+        n: usize,
+        configs: BTreeMap<ObjectId, ProtocolConfig>,
+        oracles: Vec<(ObjectId, Box<dyn PlanOracle>)>,
+        kind: TransportKind,
+        obs: Option<doma_obs::Obs>,
+    ) -> Result<Cluster> {
+        if n == 0 || n > doma_core::MAX_PROCESSORS {
+            return Err(DomaError::InvalidConfig(format!("bad cluster size {n}")));
+        }
+        if configs.is_empty() {
+            return Err(DomaError::InvalidConfig("empty object catalog".into()));
+        }
+        let endpoints = Endpoints::bind(n, kind)?;
+        Cluster::start(endpoints, configs, oracles, obs)
+    }
+
+    /// Serves bound `endpoints`: spawns the nodes, connects the driver,
+    /// and completes one poll round. Sockets are known to work by now,
+    /// so every failure here is reported as [`DomaError::ClusterBoot`].
+    fn start(
+        endpoints: Endpoints,
+        configs: BTreeMap<ObjectId, ProtocolConfig>,
+        oracles: Vec<(ObjectId, Box<dyn PlanOracle>)>,
+        obs: Option<doma_obs::Obs>,
+    ) -> Result<Cluster> {
+        let Endpoints {
+            listeners,
+            addrs,
+            peers,
+            uds_dir,
+        } = endpoints;
+        let n = addrs.len();
         let mut handles = Vec::with_capacity(n);
-        for (i, listener) in listeners.into_iter().enumerate() {
+        for ((i, listener), peers) in listeners.into_iter().enumerate().zip(peers) {
             let mut node = DomNode::with_catalog(ProcessorId::new(i), n, configs.clone(), 0);
             if let Some(bundle) = &obs {
                 node.set_obs(bundle.clone());
             }
-            let peers = addrs
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(j, a)| (j, a.clone()))
-                .collect();
             handles.push(runtime::spawn_node(NodeSetup {
                 id: i,
                 node,
@@ -152,9 +200,27 @@ impl Cluster {
 
         let mut conns = Vec::with_capacity(n);
         for addr in &addrs {
-            let mut conn = Conn::connect_retry(addr)?;
-            conn.write_frame(&WireFrame::Hello { node: DRIVER_ID })?;
-            conns.push(FrameConn::new(conn));
+            let conn = Conn::connect_retry(addr).and_then(|mut conn| {
+                conn.write_frame(&WireFrame::Hello { node: DRIVER_ID })?;
+                Ok(conn)
+            });
+            match conn {
+                Ok(conn) => conns.push(FrameConn::new(conn)),
+                Err(e) => {
+                    // Nodes the driver never reached cannot be told to
+                    // stop; a node that already died holds the root
+                    // cause.
+                    let cause = handles
+                        .into_iter()
+                        .filter(runtime::NodeHandle::is_finished)
+                        .find_map(|h| h.join().err())
+                        .unwrap_or(e);
+                    if let Some(dir) = uds_dir {
+                        let _ = std::fs::remove_dir_all(dir);
+                    }
+                    return Err(DomaError::ClusterBoot(cause.to_string()));
+                }
+            }
         }
 
         let mut planner = ClientPlanner::new(n, configs.keys().copied());
@@ -171,10 +237,12 @@ impl Cluster {
         };
         // One poll round: a node answers only from its event loop, which
         // starts after its own mesh connects, so the cluster returned
-        // here has a complete mesh and may be shut down at once.
+        // here has a complete mesh and may be shut down at once. A node
+        // that died instead closes the driver's connection; its own
+        // error, surfaced by the join, is the root cause.
         if let Err(e) = cluster.poll() {
-            let _ = cluster.shutdown();
-            return Err(e);
+            let cause = cluster.shutdown().err().unwrap_or(e);
+            return Err(DomaError::ClusterBoot(cause.to_string()));
         }
         Ok(cluster)
     }
@@ -329,24 +397,66 @@ impl Cluster {
     /// Stops every node, joins their threads (surfacing any event-loop
     /// error), and removes the UDS directory.
     pub fn shutdown(mut self) -> Result<()> {
-        let mut first_err = None;
+        let mut write_err = None;
         for conn in &mut self.conns {
             if let Err(e) = conn.writer().write_frame(&WireFrame::Shutdown) {
-                first_err.get_or_insert(e);
+                write_err.get_or_insert(e);
             }
         }
         drop(self.conns);
+        // A node that already died refuses the Shutdown frame; its own
+        // error from the join is the root cause, so it wins.
+        let mut join_err = None;
         for handle in self.handles {
             if let Err(e) = handle.join() {
-                first_err.get_or_insert(e);
+                join_err.get_or_insert(e);
             }
         }
         if let Some(dir) = self.uds_dir.take() {
             let _ = std::fs::remove_dir_all(dir);
         }
-        match first_err {
+        match join_err.or(write_err) {
             Some(e) => Err(e),
             None => Ok(()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A node that dies after every listener is bound fails the boot
+    /// with [`DomaError::ClusterBoot`], never the [`DomaError::Net`]
+    /// callers skip on, and the error is the node's own rather than the
+    /// driver's EOF on its connection.
+    #[test]
+    fn node_failure_after_bind_fails_the_boot() {
+        let mut endpoints = match Endpoints::bind(3, TransportKind::Uds) {
+            Ok(endpoints) => endpoints,
+            Err(e) => {
+                eprintln!("skipping boot-failure test: sockets unavailable ({e})");
+                return;
+            }
+        };
+        // Node 0's first peer is a socket path nothing listens on, so
+        // its mesh connect fails once its retries run out.
+        let dir = endpoints.uds_dir.clone().expect("uds dir");
+        endpoints.peers[0][0].1 = Addr::Uds(dir.join("missing.sock"));
+        let mut configs = BTreeMap::new();
+        configs.insert(
+            doma_protocol::ProtocolSim::object(),
+            ProtocolConfig::Sa {
+                q: ProcSet::from_iter([0usize, 1]),
+            },
+        );
+        match Cluster::start(endpoints, configs, Vec::new(), None) {
+            Err(DomaError::ClusterBoot(msg)) => {
+                assert!(msg.contains("connect:"), "{msg}");
+                assert!(!dir.exists(), "uds dir left behind");
+            }
+            Err(other) => panic!("expected ClusterBoot, got {other:?}"),
+            Ok(_) => panic!("a cluster with a dead node booted"),
         }
     }
 }

@@ -23,14 +23,11 @@ use doma_core::{DomaError, Result};
 use doma_protocol::DomNode;
 use doma_sim::NodeId;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::sync::{
-    atomic::{AtomicBool, Ordering},
-    Arc,
-};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which socket family a cluster runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,6 +112,15 @@ impl Conn {
             Conn::Uds(s) => s.try_clone().map(Conn::Uds),
         }
         .map_err(|e| net_err("clone stream", e))
+    }
+
+    /// Shuts both directions of the socket, for every handle that shares
+    /// it: a reader parked on a clone wakes with EOF.
+    fn shutdown(&self) {
+        let _ = match self {
+            Conn::Tcp(s) => s.shutdown(Shutdown::Both),
+            Conn::Uds(s) => s.shutdown(Shutdown::Both),
+        };
     }
 
     pub(crate) fn read_some(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
@@ -238,6 +244,11 @@ pub(crate) struct NodeHandle {
 }
 
 impl NodeHandle {
+    /// Whether the node thread has already exited.
+    pub(crate) fn is_finished(&self) -> bool {
+        self.join.is_finished()
+    }
+
     /// Joins the node thread, surfacing its event-loop error if any.
     pub(crate) fn join(self) -> Result<()> {
         match self.join.join() {
@@ -247,15 +258,49 @@ impl NodeHandle {
     }
 }
 
+/// Every inbound stream a node has accepted. When the node's event loop
+/// ends — on `Shutdown` or on an error — it closes them all: a reader
+/// parked in `read` would otherwise hold the driver's connection open
+/// past the node's death, and the driver would wait for a reply forever.
+#[derive(Default)]
+struct Inbound {
+    closed: bool,
+    conns: Vec<Conn>,
+}
+
+impl Inbound {
+    /// Registers an accepted stream; `false` once the node has closed.
+    fn admit(this: &Mutex<Inbound>, conn: Conn) -> bool {
+        let mut inbound = this.lock().unwrap_or_else(PoisonError::into_inner);
+        if inbound.closed {
+            return false;
+        }
+        inbound.conns.push(conn);
+        true
+    }
+
+    /// Refuses further streams and shuts every registered one.
+    fn close(this: &Mutex<Inbound>) {
+        let mut inbound = this.lock().unwrap_or_else(PoisonError::into_inner);
+        inbound.closed = true;
+        for conn in inbound.conns.drain(..) {
+            conn.shutdown();
+        }
+    }
+}
+
 /// Spawns the acceptor for one node: each inbound connection gets a
 /// reader thread that performs the `Hello` handshake and forwards frames
-/// to `tx`. `stop` + a dummy self-connection unblock the accept loop at
-/// shutdown.
-fn spawn_acceptor(listener: Listener, tx: mpsc::Sender<NodeEvent>, stop: Arc<AtomicBool>) {
+/// to `tx`. Closing `inbound` + a dummy self-connection unblock the
+/// accept loop at shutdown.
+fn spawn_acceptor(listener: Listener, tx: mpsc::Sender<NodeEvent>, inbound: Arc<Mutex<Inbound>>) {
     std::thread::spawn(move || {
         loop {
             let Ok(conn) = listener.accept() else { return };
-            if stop.load(Ordering::SeqCst) {
+            let Ok(handle) = conn.try_clone() else {
+                continue;
+            };
+            if !Inbound::admit(&inbound, handle) {
                 return;
             }
             let tx = tx.clone();
@@ -301,15 +346,33 @@ fn node_main(setup: NodeSetup) -> Result<()> {
         self_addr,
     } = setup;
     let (tx, rx) = mpsc::channel::<NodeEvent>();
-    let stop = Arc::new(AtomicBool::new(false));
-    spawn_acceptor(listener, tx, stop.clone());
+    let inbound = Arc::new(Mutex::new(Inbound::default()));
+    spawn_acceptor(listener, tx, inbound.clone());
 
+    let result = serve(id, &mut node, &peers, &rx);
+
+    // However the loop ended, no peer or driver may wait on this node:
+    // close every inbound stream, then poke our own listener with a
+    // dummy connect so the parked acceptor sees the close and exits.
+    Inbound::close(&inbound);
+    let _ = Conn::connect(&self_addr);
+    result
+}
+
+/// Connects the node's outgoing mesh, then runs its event loop until a
+/// `Shutdown` frame.
+fn serve(
+    id: usize,
+    node: &mut DomNode,
+    peers: &[(usize, Addr)],
+    rx: &mpsc::Receiver<NodeEvent>,
+) -> Result<()> {
     // Full mesh: one outgoing connection per peer, introduced by Hello.
     // Every node's listener is bound before any node thread starts, so
     // these connects succeed (with retry absorbing scheduler noise).
     let max_peer = peers.iter().map(|(i, _)| *i).max().unwrap_or(0);
     let mut out: Vec<Option<Conn>> = (0..=max_peer).map(|_| None).collect();
-    for (peer, addr) in &peers {
+    for (peer, addr) in peers {
         let mut conn = Conn::connect_retry(addr)?;
         conn.write_frame(&WireFrame::Hello { node: id as u64 })?;
         out[*peer] = Some(conn);
@@ -361,11 +424,6 @@ fn node_main(setup: NodeSetup) -> Result<()> {
             NodeEvent::Frame(_) => {}
         }
     }
-
-    // Unblock the acceptor (it is parked in accept()) so its thread
-    // exits: flag it, then poke our own listener with a dummy connect.
-    stop.store(true, Ordering::SeqCst);
-    let _ = Conn::connect(&self_addr);
     Ok(())
 }
 

@@ -17,7 +17,8 @@ fn pair(a: u8, b: u8) -> ProcSet {
 }
 
 /// Boots a cluster or skips the test with a notice when the sandbox
-/// refuses sockets — a missing runtime is not a protocol failure.
+/// refuses to bind sockets — a missing runtime is not a protocol
+/// failure. A cluster that binds but fails to come up panics.
 fn boot(n: usize, config: ProtocolConfig, kind: TransportKind) -> Option<(Cluster, ObjectId)> {
     let object = ProtocolSim::object();
     let mut configs = BTreeMap::new();

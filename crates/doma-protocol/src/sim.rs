@@ -506,13 +506,11 @@ impl ProtocolSim {
     }
 
     /// The tripped event-budget valve as a [`DomaError::EventBudgetExceeded`]
-    /// naming the events of the window that hit it and the budget;
-    /// `None` while the valve holds.
+    /// naming the budget; `None` while the valve holds.
     pub fn budget_error(&self) -> Option<DomaError> {
         self.engine
             .budget_exhausted()
             .then(|| DomaError::EventBudgetExceeded {
-                dispatched: self.engine.window_dispatched(),
                 budget: self.engine.max_events(),
             })
     }

@@ -661,12 +661,6 @@ impl<M: Clone, A: Actor<M>> Engine<M, A> {
         self.dispatched
     }
 
-    /// Events dispatched in the current budget window, i.e. since the
-    /// queue last drained — what the `max_events` valve counts.
-    pub fn window_dispatched(&self) -> u64 {
-        self.window
-    }
-
     /// The per-window event budget (0 = no limit).
     pub fn max_events(&self) -> u64 {
         self.max_events
@@ -971,7 +965,6 @@ mod tests {
         let dispatched = engine.run_until_idle();
         assert!(engine.budget_exhausted(), "valve must trip");
         assert_eq!(dispatched, 100, "stops exactly at the budget");
-        assert_eq!(engine.window_dispatched(), 100);
         assert_eq!(engine.max_events(), 100);
         assert!(engine.has_pending(), "the undispatched event stays queued");
     }
@@ -992,11 +985,6 @@ mod tests {
         }
         assert!(!engine.budget_exhausted(), "settled windows never trip");
         assert_eq!(engine.dispatched(), 50, "lifetime total still counts");
-        assert_eq!(
-            engine.window_dispatched(),
-            0,
-            "a drained queue resets the window"
-        );
         // Driving one exchange event by event also resets at idle.
         for _ in 0..3 {
             engine.inject(a, 0, 4);
